@@ -108,37 +108,40 @@ impl FiveStepFft {
         Ok((v, work))
     }
 
+    /// Device offsets of the natural-order X rows (`y` fastest, then `z`)
+    /// in the 5-D input layout. X is contiguous in every view, so a whole
+    /// row moves as one slice.
+    fn input_rows(&self) -> impl Iterator<Item = usize> + '_ {
+        let l = &self.layout;
+        (0..l.nz).flat_map(move |z| (0..l.ny).map(move |y| l.input_index(0, y, z)))
+    }
+
+    /// Device offsets of the natural-order spectrum rows in the 5-D output
+    /// layout.
+    fn output_rows(&self) -> impl Iterator<Item = usize> + '_ {
+        let l = &self.layout;
+        (0..l.nz).flat_map(move |kz| (0..l.ny).map(move |ky| l.output_index(0, ky, kz)))
+    }
+
     /// Packs a natural-order volume (`x` fastest, then `y`, then `z`) into
     /// the 5-D input layout. This is host-side work, done once per upload.
     pub fn pack_input(&self, host: &[Complex32]) -> Vec<Complex32> {
-        let l = &self.layout;
-        assert_eq!(host.len(), l.volume(), "volume mismatch");
+        let nx = self.layout.nx;
+        assert_eq!(host.len(), self.volume(), "volume mismatch");
         let mut out = vec![Complex32::ZERO; host.len()];
-        let mut i = 0;
-        for z in 0..l.nz {
-            for y in 0..l.ny {
-                for x in 0..l.nx {
-                    out[l.input_index(x, y, z)] = host[i];
-                    i += 1;
-                }
-            }
+        for (row, at) in host.chunks_exact(nx).zip(self.input_rows()) {
+            out[at..at + nx].copy_from_slice(row);
         }
         out
     }
 
     /// Unpacks a downloaded 5-D *output*-layout buffer into natural order.
     pub fn unpack_output(&self, packed: &[Complex32]) -> Vec<Complex32> {
-        let l = &self.layout;
-        assert_eq!(packed.len(), l.volume(), "volume mismatch");
-        let mut out = vec![Complex32::ZERO; packed.len()];
-        let mut i = 0;
-        for kz in 0..l.nz {
-            for ky in 0..l.ny {
-                for kx in 0..l.nx {
-                    out[i] = packed[l.output_index(kx, ky, kz)];
-                    i += 1;
-                }
-            }
+        let nx = self.layout.nx;
+        assert_eq!(packed.len(), self.volume(), "volume mismatch");
+        let mut out = Vec::with_capacity(packed.len());
+        for at in self.output_rows() {
+            out.extend_from_slice(&packed[at..at + nx]);
         }
         out
     }
@@ -213,17 +216,20 @@ impl FiveStepFft {
         out
     }
 
-    /// Convenience: upload a natural-order host volume (packing included).
+    /// Convenience: upload a natural-order host volume, packing it row by
+    /// row straight into the device layout.
     pub fn upload(&self, gpu: &mut Gpu, v: BufferId, host: &[Complex32]) {
-        let packed = self.pack_input(host);
-        gpu.mem_mut().upload(v, 0, &packed);
+        let nx = self.layout.nx;
+        assert_eq!(host.len(), self.volume(), "volume mismatch");
+        for (row, at) in host.chunks_exact(nx).zip(self.input_rows()) {
+            gpu.mem_mut().upload(v, at, row);
+        }
     }
 
-    /// Convenience: download and unpack the spectrum to natural order.
+    /// Convenience: download the spectrum to natural order, unpacking it
+    /// row by row straight out of the device buffer.
     pub fn download(&self, gpu: &Gpu, v: BufferId) -> Vec<Complex32> {
-        let mut packed = vec![Complex32::ZERO; self.volume()];
-        gpu.mem().download(v, 0, &mut packed);
-        self.unpack_output(&packed)
+        self.unpack_output(&gpu.mem().as_slice(v)[..self.volume()])
     }
 }
 

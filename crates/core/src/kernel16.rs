@@ -17,7 +17,9 @@ use fft_math::flops::nominal_flops_1d;
 use fft_math::layout::StridedPass;
 use fft_math::twiddle::{Direction, InterTwiddle};
 use fft_math::Complex32;
-use gpu_sim::{BufferId, Gpu, KernelClass, KernelReport, KernelResources, LaunchConfig};
+use gpu_sim::{
+    BufferId, Gpu, KernelClass, KernelReport, KernelResources, LaunchConfig, NativeCtx, ThreadCtx,
+};
 
 /// Register demand of the coarse kernel for an `n`-point per-thread FFT.
 ///
@@ -53,12 +55,50 @@ pub fn pass_config(pass: &StridedPass, grid: usize, name: &'static str) -> Launc
     }
 }
 
-/// Executes one strided pass (`src` → `dst`) on the device.
+/// The arithmetic of one row, shared by the instrumented and the native
+/// body: the register-resident small FFT, then (first halves only) the
+/// inter-digit twiddle `W_axis^{k1·f3}`, where `f3` is the input slot-3
+/// digit. Returns the flops the twiddle multiplies charge.
+#[inline]
+fn row_fft(buf: &mut [Complex32], dir: Direction, inter: Option<&InterTwiddle>, f3: usize) -> u64 {
+    fft_small(buf, dir);
+    let mut extra = 0u64;
+    if let Some(tw) = inter {
+        for (k1, v) in buf.iter_mut().enumerate() {
+            if k1 != 0 && f3 != 0 {
+                *v *= tw.get(k1, f3);
+                extra += 6;
+            }
+        }
+    }
+    extra
+}
+
+/// The memo geometry of a strided pass: both views, the FFT and axis
+/// lengths and the half. Direction is left out: it changes no address and
+/// no flop count.
+fn pass_geometry(pass: &StridedPass) -> Vec<u64> {
+    let mut g = Vec::with_capacity(13);
+    for v in [pass.input, pass.output] {
+        g.push(v.nx as u64);
+        g.extend(v.extents.iter().map(|&e| e as u64));
+    }
+    g.extend([
+        pass.fft_len as u64,
+        pass.axis_len as u64,
+        pass.first_half as u64,
+    ]);
+    g
+}
+
+/// Executes one strided pass (`src` → `dst`, two distinct buffers) on the
+/// device.
 ///
 /// `pass` carries the 5-D views, FFT length, and declared access patterns
 /// from [`fft_math::layout::FiveStepPlanLayout::strided_passes`]. The kernel
 /// is fully functional; the returned report carries measured coalescing and
-/// modelled timing.
+/// modelled timing. A repeat of the same pass over the same buffers takes
+/// the simulator's fast path ([`Gpu::launch_native`]).
 pub fn run_strided_pass(
     gpu: &mut Gpu,
     src: BufferId,
@@ -72,6 +112,7 @@ pub fn run_strided_pass(
         n <= 16,
         "coarse kernel is register-resident: fft_len must be <= 16"
     );
+    assert_ne!(src, dst, "a strided pass runs out of place");
     let in_view = pass.input;
     let out_view = pass.output;
     let rows = in_view.len() / n;
@@ -81,14 +122,50 @@ pub fn run_strided_pass(
     let inter = pass
         .first_half
         .then(|| InterTwiddle::new(n, pass.axis_len / n, dir));
+    let inter = inter.as_ref();
 
     let res = coarse_resources(n);
     let grid = gpu.fill_grid(&res);
     let cfg = pass_config(pass, grid, name);
 
+    // Output slot of the new digit: first halves push it into slot 1,
+    // second halves into slot 2 (write patterns A and B respectively).
+    let out_index = |x: usize, k: usize, f1: usize, f2: usize, f3: usize| {
+        if pass.first_half {
+            out_view.index(x, [k, f1, f2, f3])
+        } else {
+            out_view.index(x, [f1, k, f2, f3])
+        }
+    };
+
+    let native = |nat: &mut NativeCtx| {
+        let (s, d) = nat.mem.src_dst(src, dst);
+        let [e1, e2, e3, _] = in_view.extents;
+        let in_step = in_view.slot_stride(4);
+        let out_step = out_view.slot_stride(if pass.first_half { 1 } else { 2 });
+        let mut buf = [Complex32::ZERO; 16];
+        for f3 in 0..e3 {
+            for f2 in 0..e2 {
+                for f1 in 0..e1 {
+                    for x in 0..in_view.nx {
+                        let at = in_view.index(x, [f1, f2, f3, 0]);
+                        for (j, v) in buf[..n].iter_mut().enumerate() {
+                            *v = s[at + j * in_step];
+                        }
+                        row_fft(&mut buf[..n], dir, inter, f3);
+                        let at = out_index(x, 0, f1, f2, f3);
+                        for (k, v) in buf[..n].iter().enumerate() {
+                            d[at + k * out_step] = *v;
+                        }
+                    }
+                }
+            }
+        }
+    };
+
     let total_threads = grid * res.threads_per_block;
     let flops_per_row = codelet_flops(n) as u64;
-    gpu.launch(&cfg, |t| {
+    let body = |t: &mut ThreadCtx| {
         let mut buf = [Complex32::ZERO; 16];
         let mut r = t.gid();
         while r < rows {
@@ -106,38 +183,17 @@ pub fn run_strided_pass(
                 *v = t.ld(src, in_view.index(x, [f1, f2, f3, j]));
             }
 
-            // Register-resident small FFT.
-            fft_small(&mut buf[..n], dir);
-            t.flops(flops_per_row);
+            let extra = row_fft(&mut buf[..n], dir, inter, f3);
+            t.flops(flops_per_row + extra);
 
-            // Inter-digit twiddle (first halves only): n2 is the input
-            // slot-3 digit f3.
-            if let Some(tw) = &inter {
-                let mut extra = 0u64;
-                for (k1, v) in buf[..n].iter_mut().enumerate() {
-                    if k1 != 0 && f3 != 0 {
-                        *v *= tw.get(k1, f3);
-                        extra += 6;
-                    }
-                }
-                t.flops(extra);
-            }
-
-            // Scatter with the digit relabelling of the five-step plan:
-            // first halves push the new digit into slot 1, second halves
-            // into slot 2 (write patterns A and B respectively).
-            if pass.first_half {
-                for (k, v) in buf[..n].iter().enumerate() {
-                    t.st(dst, out_view.index(x, [k, f1, f2, f3]), *v);
-                }
-            } else {
-                for (k, v) in buf[..n].iter().enumerate() {
-                    t.st(dst, out_view.index(x, [f1, k, f2, f3]), *v);
-                }
+            // Scatter with the digit relabelling of the five-step plan.
+            for (k, v) in buf[..n].iter().enumerate() {
+                t.st(dst, out_index(x, k, f1, f2, f3), *v);
             }
             r += total_threads;
         }
-    })
+    };
+    gpu.launch_native(&cfg, &pass_geometry(pass), &[src, dst], native, body)
 }
 
 #[cfg(test)]

@@ -21,9 +21,11 @@ use fft_math::flops::nominal_flops_1d;
 use fft_math::layout::AccessPattern;
 use fft_math::twiddle::{Direction, TwiddleTable};
 use fft_math::Complex32;
+use gpu_sim::exec::BlockCtx;
 use gpu_sim::shared::bank_conflict_degree;
 use gpu_sim::{
-    BufferId, Gpu, KernelClass, KernelReport, KernelResources, LaunchConfig, TexAccess, TextureId,
+    BufferId, Gpu, KernelClass, KernelReport, KernelResources, LaunchConfig, NativeCtx, TexAccess,
+    TextureId,
 };
 
 /// One Stockham stage of the decomposition.
@@ -311,9 +313,99 @@ pub fn batched_config(
     }
 }
 
+/// One butterfly of stage `st` with its twiddles: the arithmetic the
+/// instrumented and the native body share. `x` holds the stage's `radix`
+/// inputs for sub-transform `p`; `tw(i)` fetches `W_n^i`. Returns the
+/// outputs (the first `radix` are live) and the flops charged.
+#[inline(always)]
+fn butterfly(
+    st: &Stage,
+    p: usize,
+    x: &[Complex32],
+    dir: Direction,
+    n: usize,
+    mut tw: impl FnMut(usize) -> Complex32,
+) -> ([Complex32; 4], u64) {
+    let tw_step = n / (st.m * st.radix); // index scale into W_n
+    let wrap = n - 1; // `% n` for the power-of-two row length
+    if st.radix == 4 {
+        let (a, b, c, d) = (x[0], x[1], x[2], x[3]);
+        let t0 = a + c;
+        let t1 = a - c;
+        let t2 = b + d;
+        let t3 = match dir {
+            Direction::Forward => (b - d).mul_neg_i(),
+            Direction::Inverse => (b - d).mul_i(),
+        };
+        let mut y = [t0 + t2, t1 + t3, t0 - t2, t1 - t3];
+        let mut fl = 16;
+        if p != 0 {
+            for (r, v) in y.iter_mut().enumerate().skip(1) {
+                *v *= tw((r * p * tw_step) & wrap);
+                fl += 6;
+            }
+        }
+        (y, fl)
+    } else {
+        let (a, b) = (x[0], x[1]);
+        let mut y1 = a - b;
+        let mut fl = 4;
+        if p != 0 {
+            y1 *= tw((p * tw_step) & wrap);
+            fl += 6;
+        }
+        ([a + b, y1, Complex32::ZERO, Complex32::ZERO], fl)
+    }
+}
+
+/// One row through every stage without instrumentation: `a` holds the
+/// row on entry and the spectrum on return; `b` is scratch. Each stage
+/// reads and writes the same element indices the block's threads move
+/// through registers and shared memory, so the result is bit-identical.
+fn native_row(
+    stages: &[Stage],
+    a: &mut Vec<Complex32>,
+    b: &mut Vec<Complex32>,
+    dir: Direction,
+    tw: &[Complex32],
+) {
+    let n = a.len();
+    for st in stages {
+        for p in 0..st.m {
+            for q in 0..st.s {
+                let mut x = [Complex32::ZERO; 4];
+                for (k, v) in x[..st.radix].iter_mut().enumerate() {
+                    *v = a[q + st.s * (p + k * st.m)];
+                }
+                let (y, _) = butterfly(st, p, &x[..st.radix], dir, n, |i| tw[i]);
+                for (r, v) in y[..st.radix].iter().enumerate() {
+                    b[q + st.s * (st.radix * p + r)] = *v;
+                }
+            }
+        }
+        std::mem::swap(a, b);
+    }
+}
+
+/// The memo geometry of a batched pass: row length, rows, the twiddle
+/// texture (its access class feeds the stats) and the plan's stage and
+/// padding choices (they set the shared-memory addresses).
+fn batched_geometry(plan: &FineFftPlan, rows: usize, tw: TextureId) -> Vec<u64> {
+    let mut g = vec![plan.n as u64, rows as u64, tw.index() as u64];
+    for st in &plan.stages {
+        g.extend([st.radix, st.m, st.s, st.q_major as usize].map(|v| v as u64));
+    }
+    for &(group, skew) in &plan.pads {
+        g.extend([group as u64, skew as u64]);
+    }
+    g
+}
+
 /// Runs `rows` consecutive `n`-point FFTs: row `r` occupies elements
 /// `[r*n, (r+1)*n)` of `src` and lands in the same range of `dst` (which may
-/// equal `src` for the in-place step 5).
+/// equal `src` for the in-place step 5). A repeat of the same launch over
+/// the same buffers takes the simulator's fast path
+/// ([`Gpu::launch_coop_native`]).
 ///
 /// `tw` must be the texture bound by [`bind_twiddle_texture`] for the same
 /// `n` and direction.
@@ -333,15 +425,30 @@ pub fn run_batched_fft(
     let res = plan.resources();
     let grid = gpu.fill_grid(&res).min(rows.max(1));
     let cfg = batched_config(plan, rows, grid, src == dst, name);
+    let stages = &plan.stages;
+    let pads = &plan.pads;
 
-    let stages = plan.stages.clone();
-    let pads = plan.pads.clone();
-    let rot = match dir {
-        Direction::Forward => Complex32::mul_neg_i as fn(Complex32) -> Complex32,
-        Direction::Inverse => Complex32::mul_i,
+    let native = |nat: &mut NativeCtx| {
+        let table = nat.texture(tw);
+        let (mut a, mut b) = (vec![Complex32::ZERO; n], vec![Complex32::ZERO; n]);
+        if src == dst {
+            let data = nat.mem.as_mut_slice(dst);
+            for row in data.chunks_exact_mut(n).take(rows) {
+                a.copy_from_slice(row);
+                native_row(stages, &mut a, &mut b, dir, table);
+                row.copy_from_slice(&a);
+            }
+        } else {
+            let (s, d) = nat.mem.src_dst(src, dst);
+            for (row_in, row_out) in s.chunks_exact(n).zip(d.chunks_exact_mut(n)).take(rows) {
+                a.copy_from_slice(row_in);
+                native_row(stages, &mut a, &mut b, dir, table);
+                row_out.copy_from_slice(&a);
+            }
+        }
     };
 
-    gpu.launch_coop(&cfg, |blk| {
+    let body = |blk: &mut BlockCtx| {
         // Per-thread register state, persisted across phases by the block.
         let mut vals = vec![[Complex32::ZERO; 4]; threads];
         let mut next = vec![[Complex32::ZERO; 4]; threads];
@@ -401,42 +508,12 @@ pub fn run_batched_fft(
 
                 // --- butterflies + twiddles ---
                 let last = si == stages.len() - 1;
-                let tw_step = n / (st.m * st.radix); // index scale into W_n
                 blk.threads(|t, ctx| {
                     for b in 0..bpt {
                         let (p, q) = st.coords(t, b, threads);
                         let io = b * st.radix;
-                        let mut fl = 0u64;
-                        let out: [Complex32; 4] = if st.radix == 4 {
-                            let (a, bb, c, d) = (
-                                vals[t][io],
-                                vals[t][io + 1],
-                                vals[t][io + 2],
-                                vals[t][io + 3],
-                            );
-                            let t0 = a + c;
-                            let t1 = a - c;
-                            let t2 = bb + d;
-                            let t3 = rot(bb - d);
-                            let mut y = [t0 + t2, t1 + t3, t0 - t2, t1 - t3];
-                            fl += 16;
-                            if p != 0 {
-                                for (r, v) in y.iter_mut().enumerate().skip(1) {
-                                    *v *= ctx.tex1d(tw, (r * p * tw_step) % n);
-                                    fl += 6;
-                                }
-                            }
-                            y
-                        } else {
-                            let (a, bb) = (vals[t][io], vals[t][io + 1]);
-                            let mut y1 = a - bb;
-                            fl += 4;
-                            if p != 0 {
-                                y1 *= ctx.tex1d(tw, (p * tw_step) % n);
-                                fl += 6;
-                            }
-                            [a + bb, y1, Complex32::ZERO, Complex32::ZERO]
-                        };
+                        let x = &vals[t][io..io + st.radix];
+                        let (out, fl) = butterfly(st, p, x, dir, n, |i| ctx.tex1d(tw, i));
                         ctx.flops(fl);
                         if last {
                             for (r, v) in out.iter().enumerate().take(st.radix) {
@@ -454,7 +531,14 @@ pub fn run_batched_fft(
             }
             row += grid;
         }
-    })
+    };
+    gpu.launch_coop_native(
+        &cfg,
+        &batched_geometry(plan, rows, tw),
+        &[src, dst],
+        native,
+        body,
+    )
 }
 
 #[cfg(test)]

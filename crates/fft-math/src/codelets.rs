@@ -16,6 +16,7 @@
 
 use crate::complex::Complex32;
 use crate::twiddle::{twiddle, Direction};
+use std::sync::OnceLock;
 
 /// In-place 2-point FFT (a single butterfly). Direction is irrelevant at N=2.
 #[inline(always)]
@@ -89,6 +90,19 @@ fn w8(k: usize, dir: Direction) -> Complex32 {
     }
 }
 
+/// `W_16^e` for `e` in `0..16`, built once per direction from [`twiddle`]
+/// (the same rounded values a per-call `twiddle(e, 16, dir)` returns).
+fn w16(dir: Direction) -> &'static [Complex32; 16] {
+    static TABLES: OnceLock<[[Complex32; 16]; 2]> = OnceLock::new();
+    let tables = TABLES.get_or_init(|| {
+        [Direction::Forward, Direction::Inverse].map(|d| std::array::from_fn(|e| twiddle(e, 16, d)))
+    });
+    match dir {
+        Direction::Forward => &tables[0],
+        Direction::Inverse => &tables[1],
+    }
+}
+
 /// In-place 16-point FFT, natural order in and out.
 ///
 /// Implemented as the 4 x 4 Cooley–Tukey decomposition the paper's
@@ -108,6 +122,7 @@ pub fn fft16(d: &mut [Complex32; 16], dir: Direction) {
     }
     // Twiddle: col[n2][k1] *= W_16^{n2*k1}; trivial for n2==0 or k1==0,
     // and W_16^4 = -i (forward) handled as a free rotation.
+    let w = w16(dir);
     for n2 in 1..4 {
         for k1 in 1..4 {
             let e = n2 * k1;
@@ -116,7 +131,7 @@ pub fn fft16(d: &mut [Complex32; 16], dir: Direction) {
                 (4, Direction::Forward) | (12, Direction::Inverse) => col[n2][k1].mul_neg_i(),
                 (12, Direction::Forward) | (4, Direction::Inverse) => col[n2][k1].mul_i(),
                 (8, _) => -col[n2][k1],
-                _ => col[n2][k1] * twiddle(e, 16, dir),
+                _ => col[n2][k1] * w[e],
             };
         }
     }
@@ -209,6 +224,15 @@ mod tests {
     #[test]
     fn fft16_matches_oracle() {
         check_against_oracle(16);
+    }
+
+    #[test]
+    fn w16_table_holds_the_per_call_twiddles() {
+        for dir in [Direction::Forward, Direction::Inverse] {
+            for (e, w) in w16(dir).iter().enumerate() {
+                assert_eq!(*w, twiddle(e, 16, dir), "e={e} {dir:?}");
+            }
+        }
     }
 
     #[test]

@@ -3,11 +3,17 @@
 //! Kernels run *functionally*: a Rust closure executes once per simulated
 //! thread (or once per thread block for cooperative kernels) and really
 //! reads/writes the simulated device memory, so numerical results are exact
-//! and checkable. Performance is *modelled*: the executor counts every
-//! element moved, samples the first few thread blocks at full address
+//! and checkable. Performance is *modelled*: an instrumented launch counts
+//! every element moved, samples the first few thread blocks at full address
 //! fidelity to measure coalescing and bank behaviour with the real rules of
 //! [`crate::coalesce`] and [`crate::shared`], and hands the aggregate to the
 //! timing model.
+//!
+//! A launch that also supplies a *native* body ([`Gpu::launch_native`],
+//! [`Gpu::launch_coop_native`]) pays the instrumentation once per shape:
+//! its stats are memoised ([`crate::memo`]), and a repeat of the same shape
+//! with no checker installed runs the native body over the buffer slices
+//! and finishes with the remembered stats (DESIGN.md §18).
 //!
 //! Half-warp grouping under sequential execution relies on the kernels being
 //! lane-uniform (every thread of a half-warp performs the same sequence of
@@ -18,6 +24,7 @@ use crate::check::{CheckReport, CheckState, SharedChecker};
 use crate::coalesce;
 use crate::constmem::{serialization_penalty, ConstantBank};
 use crate::dram::DRAM_ROW_BYTES;
+use crate::memo::{LaunchMemo, MemoCounters, MemoKey};
 use crate::memory::{BufferId, DeviceMemory, ELEM_BYTES};
 use crate::occupancy::{occupancy, KernelResources, Occupancy};
 use crate::pcie::{transfer_time, Dir, PcieTimeline, TransferReport};
@@ -38,6 +45,14 @@ pub const DEFAULT_TRACE_BLOCKS: usize = 2;
 /// Handle to a bound texture.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TextureId(usize);
+
+impl TextureId {
+    /// The texture's binding slot (bindings are never reused), for launch
+    /// geometry keys ([`Gpu::launch_native`]).
+    pub fn index(self) -> usize {
+        self.0
+    }
+}
 
 /// Handle to a bound constant-memory table.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -60,7 +75,7 @@ struct Texture {
 }
 
 /// Launch-time description of a kernel, consumed by the timing model.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct LaunchConfig {
     /// Kernel name for reports.
     pub name: &'static str,
@@ -105,7 +120,7 @@ impl LaunchConfig {
 }
 
 /// Aggregate counters of one kernel launch.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct KernelStats {
     /// Global loads (elements).
     pub loads: u64,
@@ -271,7 +286,7 @@ impl std::fmt::Display for SimError {
 impl std::error::Error for SimError {}
 
 /// Full result of one launch: counters, occupancy and modelled timing.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct KernelReport {
     /// Kernel name.
     pub name: &'static str,
@@ -660,6 +675,23 @@ impl<'a> BlockCtx<'a> {
     }
 }
 
+/// What a native kernel body sees ([`Gpu::launch_native`]): the device
+/// memory and the bound textures, with no instrumentation. Take buffer
+/// slices with [`DeviceMemory::src_dst`] (out of place) or
+/// [`DeviceMemory::as_mut_slice`] (in place).
+pub struct NativeCtx<'a> {
+    /// Device memory.
+    pub mem: &'a mut DeviceMemory,
+    textures: &'a [Texture],
+}
+
+impl<'a> NativeCtx<'a> {
+    /// The data of a bound texture.
+    pub fn texture(&self, tex: TextureId) -> &'a [Complex32] {
+        &self.textures[tex.0].data
+    }
+}
+
 // ---------------------------------------------------------------------------
 // The GPU
 // ---------------------------------------------------------------------------
@@ -706,6 +738,8 @@ pub struct Gpu {
     sink: Option<SharedSink>,
     /// Opt-in memcheck/racecheck state (see [`crate::check`]), if enabled.
     checker: Option<SharedChecker>,
+    /// Launch stats of the shapes seen so far (the fast path).
+    memo: LaunchMemo,
 }
 
 impl Gpu {
@@ -724,6 +758,7 @@ impl Gpu {
             active_stream: None,
             sink: None,
             checker: None,
+            memo: LaunchMemo::default(),
         }
     }
 
@@ -1327,6 +1362,97 @@ impl Gpu {
         Ok(self.finish(cfg, occ, stats))
     }
 
+    /// [`Gpu::launch`] with a fast path for a data-oblivious kernel.
+    ///
+    /// `geometry` is the caller's key for everything else the instrumented
+    /// stats depend on (views, rows, row length, plan shape); `buffers`
+    /// lists every buffer the launch touches. The first launch of a shape,
+    /// and every launch under the checker, runs `body` instrumented and
+    /// remembers its stats. A repeat with no checker installed runs
+    /// `native` instead and finishes with the remembered stats, so the
+    /// report, the clock, the streams and the trace events come out as an
+    /// instrumented run's would. `native` must leave the buffers exactly as
+    /// `body` would (DESIGN.md §18).
+    pub fn launch_native(
+        &mut self,
+        cfg: &LaunchConfig,
+        geometry: &[u64],
+        buffers: &[BufferId],
+        native: impl FnOnce(&mut NativeCtx),
+        body: impl FnMut(&mut ThreadCtx),
+    ) -> KernelReport {
+        let key = self.memo_key(false, cfg, geometry, buffers);
+        if let Some(rep) = self.run_memoised(&key, cfg, native) {
+            return rep;
+        }
+        let rep = self.launch(cfg, body);
+        self.memo.insert(key, &rep.stats);
+        rep
+    }
+
+    /// [`Gpu::launch_coop`] with the fast path of [`Gpu::launch_native`].
+    pub fn launch_coop_native(
+        &mut self,
+        cfg: &LaunchConfig,
+        geometry: &[u64],
+        buffers: &[BufferId],
+        native: impl FnOnce(&mut NativeCtx),
+        body: impl FnMut(&mut BlockCtx),
+    ) -> KernelReport {
+        let key = self.memo_key(true, cfg, geometry, buffers);
+        if let Some(rep) = self.run_memoised(&key, cfg, native) {
+            return rep;
+        }
+        let rep = self.launch_coop(cfg, body);
+        self.memo.insert(key, &rep.stats);
+        rep
+    }
+
+    /// Hit/miss counters of the fast path.
+    pub fn memo_counters(&self) -> MemoCounters {
+        self.memo.counters()
+    }
+
+    fn memo_key(
+        &self,
+        coop: bool,
+        cfg: &LaunchConfig,
+        geometry: &[u64],
+        buffers: &[BufferId],
+    ) -> MemoKey {
+        MemoKey {
+            coop,
+            config: *cfg,
+            geometry: geometry.to_vec(),
+            buffers: buffers
+                .iter()
+                .map(|&b| (b.0, self.mem.addr(b, 0), self.mem.len(b)))
+                .collect(),
+            trace_blocks: self.trace_blocks,
+        }
+    }
+
+    /// Runs `native` and finishes with the memoised stats of `key`, unless
+    /// the checker is on (every checked launch runs instrumented) or the
+    /// shape is new.
+    fn run_memoised(
+        &mut self,
+        key: &MemoKey,
+        cfg: &LaunchConfig,
+        native: impl FnOnce(&mut NativeCtx),
+    ) -> Option<KernelReport> {
+        if self.checker.is_some() {
+            return None;
+        }
+        let stats = self.memo.hit(key)?;
+        native(&mut NativeCtx {
+            mem: &mut self.mem,
+            textures: &self.textures,
+        });
+        let occ = occupancy(&self.spec.arch, &cfg.resources);
+        Some(self.finish(cfg, occ, stats))
+    }
+
     fn finish(&mut self, cfg: &LaunchConfig, occ: Occupancy, stats: KernelStats) -> KernelReport {
         let timing = time_kernel(&self.spec, cfg, &occ, &stats);
         let now = self.clock.get();
@@ -1399,6 +1525,55 @@ mod tests {
 
     fn gpu() -> Gpu {
         Gpu::new(DeviceSpec::gt8800())
+    }
+
+    /// A copy launch through the fast path over `src` → `dst`.
+    fn memo_copy(g: &mut Gpu, src: BufferId, dst: BufferId, tag: u64) -> KernelReport {
+        let cfg = LaunchConfig::copy("memo_copy", 2, 64);
+        let native = |nat: &mut NativeCtx| {
+            let (s, d) = nat.mem.src_dst(src, dst);
+            d.copy_from_slice(s);
+        };
+        g.launch_native(&cfg, &[tag], &[src, dst], native, |t| {
+            let v = t.ld(src, t.gid());
+            t.st(dst, t.gid(), v);
+        })
+    }
+
+    #[test]
+    fn memo_hit_runs_native_and_repeats_the_report() {
+        let mut g = gpu();
+        let src = g.mem_mut().alloc(128).unwrap();
+        let dst = g.mem_mut().alloc(128).unwrap();
+        for i in 0..128 {
+            g.mem_mut().write(src, i, c32(i as f32, 1.0));
+        }
+        let first = memo_copy(&mut g, src, dst, 0);
+        let t1 = g.clock_s();
+        g.mem_mut().write(src, 7, c32(-7.0, 0.0));
+        let second = memo_copy(&mut g, src, dst, 0);
+        assert_eq!(second, first);
+        assert_eq!(g.mem().read(dst, 7), c32(-7.0, 0.0), "native body ran");
+        assert_eq!(g.clock_s(), t1 + first.timing.time_s, "clock advanced");
+        let c = g.memo_counters();
+        assert_eq!((c.hits, c.misses, c.entries), (1, 1, 1));
+        assert_eq!(c.hit_share(), 0.5);
+    }
+
+    #[test]
+    fn memo_is_capped_and_forgets_the_oldest_shape() {
+        let mut g = gpu();
+        let src = g.mem_mut().alloc(128).unwrap();
+        let dst = g.mem_mut().alloc(128).unwrap();
+        for tag in 0..(crate::MEMO_CAPACITY as u64 + 8) {
+            memo_copy(&mut g, src, dst, tag);
+        }
+        assert_eq!(g.memo_counters().entries, crate::MEMO_CAPACITY);
+        // The newest shape is remembered, the first one was evicted.
+        memo_copy(&mut g, src, dst, crate::MEMO_CAPACITY as u64 + 7);
+        assert_eq!(g.memo_counters().hits, 1);
+        memo_copy(&mut g, src, dst, 0);
+        assert_eq!(g.memo_counters().hits, 1);
     }
 
     #[test]

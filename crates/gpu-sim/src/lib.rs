@@ -26,6 +26,7 @@ pub mod coalesce;
 pub mod constmem;
 pub mod dram;
 pub mod exec;
+pub mod memo;
 pub mod memory;
 pub mod occupancy;
 pub mod pcie;
@@ -43,9 +44,10 @@ pub use analysis::{
 };
 pub use check::{AccessDiag, AccessKind, CheckReport, HazardDiag, HazardKind};
 pub use exec::{
-    ConstId, Gpu, KernelReport, KernelStats, LaunchConfig, SimError, TexAccess, TextureId,
-    ThreadCtx,
+    ConstId, Gpu, KernelReport, KernelStats, LaunchConfig, NativeCtx, SimError, TexAccess,
+    TextureId, ThreadCtx,
 };
+pub use memo::{MemoCounters, MEMO_CAPACITY};
 pub use memory::{AllocError, BufferId, DeviceMemory, FreeQueue};
 pub use occupancy::{occupancy, KernelResources, Occupancy};
 pub use spec::{DeviceSpec, PcieGen};

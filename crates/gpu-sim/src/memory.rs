@@ -250,6 +250,23 @@ impl DeviceMemory {
         &b.data
     }
 
+    /// Disjoint views of two distinct buffers: `src` to read, `dst` to
+    /// write. The native kernel bodies of the simulator fast path run over
+    /// these ([`crate::Gpu::launch_native`]); it does no checker
+    /// bookkeeping, because the fast path never runs under the checker.
+    pub fn src_dst(&mut self, src: BufferId, dst: BufferId) -> (&[Complex32], &mut [Complex32]) {
+        assert_ne!(src, dst, "src_dst needs two distinct buffers");
+        let (s, d) = if src.0 < dst.0 {
+            let (lo, hi) = self.buffers.split_at_mut(dst.0);
+            (&lo[src.0], &mut hi[0])
+        } else {
+            let (lo, hi) = self.buffers.split_at_mut(src.0);
+            (&hi[0], &mut lo[dst.0])
+        };
+        assert!(s.live && d.live, "use after free");
+        (&s.data, &mut d.data)
+    }
+
     /// Direct mutable view for device-side initialisation helpers. The
     /// checker conservatively treats the whole buffer as initialised
     /// afterwards (it cannot see which elements the caller writes).
@@ -375,6 +392,21 @@ mod tests {
         m.free_queue().borrow_mut().push(b);
         m.reclaim();
         assert_eq!(m.used_bytes(), 0);
+    }
+
+    #[test]
+    fn src_dst_views_both_buffers_in_either_order() {
+        let mut m = DeviceMemory::new(4096);
+        let a = m.alloc(4).unwrap();
+        let b = m.alloc(4).unwrap();
+        m.write(a, 1, c32(1.0, 0.0));
+        m.write(b, 2, c32(2.0, 0.0));
+        let (s, d) = m.src_dst(a, b);
+        d[3] = s[1];
+        let (s, d) = m.src_dst(b, a);
+        d[0] = s[2];
+        assert_eq!(m.read(b, 3), c32(1.0, 0.0));
+        assert_eq!(m.read(a, 0), c32(2.0, 0.0));
     }
 
     #[test]

@@ -170,3 +170,41 @@ fn same_stream_copy_after_kernel_is_ordered() {
     assert!(rep.clean(), "{rep}");
     assert!(rep.ops_tracked >= 3);
 }
+
+/// The fast path never runs under the checker: a memoised shape whose
+/// *second* launch carries a defect (an out-of-bounds store, then an
+/// uninitialized read) is still run instrumented and diagnosed, even
+/// though its native body is clean.
+#[test]
+fn defect_on_a_repeated_memoised_launch_is_caught() {
+    let n = 64usize;
+    let mut gpu = Gpu::new(DeviceSpec::gts8800());
+    gpu.check_enable();
+    let src = gpu.mem_mut().alloc(n).unwrap();
+    let dst = gpu.mem_mut().alloc(n).unwrap();
+    let fresh = gpu.mem_mut().alloc(n).unwrap();
+    gpu.mem_mut().upload(src, 0, &signal(n));
+    let cfg = LaunchConfig::copy("memo_copy", 1, n);
+    let native = |nat: &mut gpu_sim::NativeCtx| {
+        let (s, d) = nat.mem.src_dst(src, dst);
+        d.copy_from_slice(s);
+    };
+    let launch = |gpu: &mut Gpu, oob: bool, uninit: bool| {
+        gpu.launch_native(&cfg, &[n as u64], &[src, dst], native, |t| {
+            let i = t.gid();
+            let v = t.ld(if uninit { fresh } else { src }, i);
+            t.st(dst, if oob { n + i } else { i }, v);
+        })
+    };
+
+    launch(&mut gpu, false, false);
+    assert!(gpu.check_report().unwrap().clean());
+    launch(&mut gpu, true, false);
+    launch(&mut gpu, false, true);
+    let rep = gpu.check_report().unwrap();
+    let kinds: Vec<AccessKind> = rep.access.iter().map(|d| d.kind).collect();
+    assert!(kinds.contains(&AccessKind::OutOfBounds), "{kinds:?}");
+    assert!(kinds.contains(&AccessKind::UninitRead), "{kinds:?}");
+    let c = gpu.memo_counters();
+    assert_eq!((c.hits, c.misses), (0, 3));
+}

@@ -41,7 +41,7 @@ use crate::telemetry::{self, names, slo, SloPolicy, SloReport, Stage, Telemetry}
 use bifft::multi_gpu::MultiGpuFft3d;
 use bifft::plan::{Algorithm, FftError};
 use fft_math::twiddle::Direction;
-use gpu_sim::{AccessKind, CheckReport, DeviceSpec};
+use gpu_sim::{AccessKind, CheckReport, DeviceSpec, MemoCounters};
 use std::collections::BTreeMap;
 
 /// Everything the service needs to come up.
@@ -1702,6 +1702,20 @@ impl FftService {
         reg.set_counter(names::CHECK_HAZARDS, rep.hazards.len() as u64);
         reg.set_counter(names::CHECK_KERNELS, rep.kernels_checked as u64);
         reg.set_counter(names::CHECK_OPS, rep.ops_tracked as u64);
+    }
+
+    /// The simulator fast-path counters summed over the fleet's cards
+    /// (DESIGN.md §18): how many launches repeated a shape a card had
+    /// already run instrumented.
+    pub fn memo_counters(&self) -> MemoCounters {
+        let mut sum = MemoCounters::default();
+        for c in &self.cards {
+            let m = c.gpu.memo_counters();
+            sum.hits += m.hits;
+            sum.misses += m.misses;
+            sum.entries += m.entries;
+        }
+        sum
     }
 
     /// Builds the end-of-run summary. Call after [`FftService::drain`] —

@@ -8,6 +8,11 @@ cd "$(dirname "$0")/.."
 cargo build --workspace --release --offline
 cargo build --workspace --examples --offline
 cargo test --workspace -q --offline
+# Simulator fast path (DESIGN.md §18): a repeated 256³ five-step transform
+# (memoised launch stats + native kernel bodies) must come out bit-identical
+# to the instrumented run, with equal kernel reports. Too slow for a debug
+# build, so the release run here is the one that executes it.
+cargo test --release -p bifft --test fast_path --offline
 cargo fmt --all -- --check
 # Keep the public API clippy-clean and documented: the workspace crates carry
 # #![warn(missing_docs)]; -D warnings promotes that (and deprecated calls
